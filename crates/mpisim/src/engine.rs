@@ -54,7 +54,7 @@
 
 // The hash containers below are membership maps that are never iterated,
 // so their nondeterministic order cannot leak into traces.
-use std::collections::{BTreeSet, HashMap, VecDeque}; // simlint: allow(hash-collections)
+use std::collections::{BTreeSet, HashMap}; // simlint: allow(hash-collections)
 
 use netmodel::{Domain, PointToPoint};
 use simdes::{EventQueue, SeedFactory, SimDuration, SimRng, SimTime};
@@ -452,9 +452,12 @@ impl PartnerCsr {
 
 /// Whether `cfg` can take the engine's fused fast path (`run_fused`).
 ///
-/// The fused path collapses each (rank, step) cell's compute → post →
-/// match → complete event chain into one macro-step, which is only sound
-/// when every decision along that chain is statically determined:
+/// The fused path replaces the event chain of every (rank, step) cell —
+/// compute → post → match → complete — with a step-major sweep of the
+/// eager max-plus recurrence: per step, one pass computes every rank's
+/// execution end and a second takes each rank's Waitall end as the max
+/// over its senders' arrivals. That is only sound when every decision
+/// along the chain is statically determined:
 ///
 /// * static partner lists (a `schedule` interposes a per-step graph),
 /// * a `Compute` execution model (memory-bound work times depend on who
@@ -462,9 +465,9 @@ impl PartnerCsr {
 /// * pure eager protocol with an unbounded buffer (rendezvous and the
 ///   finite-buffer fallback gate progress on the receiver),
 /// * unserialized sends (the NIC port serializes across steps),
-/// * noise on the execution phase only (comm noise draws from a
-///   per-transfer RNG stream whose draw order the fused cascade does not
-///   preserve),
+/// * noise on the execution phase only (comm noise draws from one stream
+///   per transfer in event order, which a per-rank sweep does not
+///   reproduce),
 /// * and no fault plan of any kind (faults reroute steps dynamically).
 ///
 /// Eligibility is necessary but not sufficient: the engine additionally
@@ -481,24 +484,22 @@ pub fn fused_path_eligible(cfg: &SimConfig) -> bool {
         && cfg.faults.is_empty()
 }
 
-/// Precomputed plan for the fused fast path: for every send slot of the
-/// [`PartnerCsr`], the receiver-side recv slot ("edge") its payload lands
-/// in and the static transfer cost of the link. Built once at
+/// Precomputed plan for the fused fast path: the static payload transfer
+/// cost of every recv slot of the [`PartnerCsr`], so a step's Waitall end
+/// is one max over `exec_end(src) + recv_cost` per slot. Built once at
 /// construction iff the config is [`fused_path_eligible`] and the
 /// pattern's send/recv lists are duals.
 struct FusedPlan {
-    /// Edge id (index into `PartnerCsr::recv`) per `PartnerCsr::send` slot.
-    send_edge: Vec<u32>,
-    /// Static payload transfer duration per `PartnerCsr::send` slot.
-    send_cost: Vec<SimDuration>,
+    /// Static payload transfer duration per `PartnerCsr::recv` slot.
+    recv_cost: Vec<SimDuration>,
 }
 
 impl FusedPlan {
-    /// Pair every send slot with the recv slot it feeds. Returns `None`
-    /// when the pattern is not a send/recv duality (some recv is never
-    /// fed, some send has no home, or a rank messages itself) — the fused
-    /// path's per-edge arrival FIFOs only line up under that bijection,
-    /// so such patterns take the general event loop.
+    /// Returns `None` unless every send slot feeds a distinct recv slot
+    /// and every recv slot is fed (a send/recv duality without
+    /// self-messages). The sweep reads each rank's senders off its recv
+    /// list, which only matches the messages the event path delivers
+    /// under that bijection, so other patterns take the general loop.
     fn build(
         csr: &PartnerCsr,
         nranks: u32,
@@ -507,56 +508,44 @@ impl FusedPlan {
         rank_socket: &[u32],
     ) -> Option<FusedPlan> {
         let mut claimed = vec![false; csr.recv.len()];
-        let mut send_edge = Vec::with_capacity(csr.send.len());
-        let mut send_cost = Vec::with_capacity(csr.send.len());
         for src in 0..nranks {
             for &dst in csr.send_of(src) {
                 if src == dst {
                     return None;
                 }
                 let base = csr.recv_off[dst as usize] as usize;
-                // Duplicate same-peer recvs each claim their own slot, in
-                // posting order — the same order the event path's request
-                // matching consumes them.
+                // Duplicate same-peer recvs each claim their own slot.
                 let slot = csr
                     .recv_of(dst)
                     .iter()
                     .enumerate()
                     .position(|(i, &peer)| peer == src && !claimed[base + i])?;
                 claimed[base + slot] = true;
-                send_edge.push((base + slot) as u32);
-                // Same domain classification as `Engine::domain_idx`,
-                // which does not exist yet while the plan is being built.
-                let dom = if rank_node[src as usize] != rank_node[dst as usize] {
-                    2
-                } else if rank_socket[src as usize] != rank_socket[dst as usize] {
-                    1
-                } else {
-                    0
-                };
-                send_cost.push(links.xfer[dom]);
             }
         }
-        claimed.iter().all(|&c| c).then_some(FusedPlan {
-            send_edge,
-            send_cost,
-        })
+        if !claimed.iter().all(|&c| c) {
+            return None;
+        }
+        // Same domain classification as `Engine::domain_idx`, which does
+        // not exist yet while the plan is being built.
+        let dom = |a: usize, b: usize| {
+            if rank_node[a] != rank_node[b] {
+                2
+            } else if rank_socket[a] != rank_socket[b] {
+                1
+            } else {
+                0
+            }
+        };
+        let recv_cost = (0..nranks as usize)
+            .flat_map(|dst| {
+                csr.recv_of(dst as u32)
+                    .iter()
+                    .map(move |&src| links.xfer[dom(src as usize, dst)])
+            })
+            .collect();
+        Some(FusedPlan { recv_cost })
     }
-}
-
-/// Working state of one fused cascade, bundled so the begin/advance
-/// helpers stay within a sane argument count.
-struct FusedCursor {
-    /// One FIFO of pending arrival times per recv slot: an undelayed
-    /// sender can run several steps ahead of a delayed receiver, one
-    /// entry per step of lead. Arrival times on one edge are monotone
-    /// (the sender's exec_end only grows), so FIFO pop order is step
-    /// order — mirroring the event path's per-step tag matching.
-    arrivals: Vec<VecDeque<SimTime>>,
-    /// Stack of ranks whose pending arrivals may now complete their step.
-    work: Vec<u32>,
-    /// Worklist membership, to dedup pushes.
-    queued: Vec<bool>,
 }
 
 /// Per-domain link costs, precomputed when no degradation windows exist:
@@ -1271,148 +1260,87 @@ impl Engine {
     /// otherwise make dynamically: every execution phase is `Compute`,
     /// every send is eager and completes at post, every transfer cost is
     /// the static per-domain link cost, and no fault can reroute a step.
-    /// Under those rules a step's completion time is a pure function of
-    /// its inputs — `comm_end(r, k) = max(exec_end(r, k), arrival time of
-    /// every step-k payload)` — so the run is a data-flow relaxation over
-    /// the (rank, step) grid, processed with a worklist instead of a
-    /// calendar. Per-rank RNG streams make the injection/noise draws
-    /// independent of cross-rank event order, and the event path's FIFO
-    /// (time, seq) tie-break resolves same-time arrivals to the same
-    /// `max()`, so the cascade reproduces the event loop's trace bit for
-    /// bit (held to by the golden figures and tests/fused_reference.rs).
+    /// Under those rules the run is the eager max-plus recurrence of
+    /// [`crate::reference`], which this evaluates step-major with two
+    /// dense passes over the ranks per step:
+    ///
+    /// 1. `exec_end(r) = start(r) + injected(r, k) + base_exec(r) +
+    ///    noise(r)`, each rank drawing from its own noise stream, so the
+    ///    draws happen in step order exactly as on the event path;
+    /// 2. `comm_end(r) = max(exec_end(r), exec_end(src) + recv_cost)` over
+    ///    `r`'s recv slots, folding the phase record (or summary digest)
+    ///    and starting the next step at `comm_end(r)`.
+    ///
+    /// The event path's FIFO (time, seq) tie-break resolves same-time
+    /// arrivals to the same `max()`, so the sweep reproduces its trace bit
+    /// for bit (held to by the golden figures and
+    /// tests/fused_reference.rs).
     ///
     /// Every calendar event the event path would have delivered — one
     /// `ExecEnd` per (rank, step) plus one `EagerArrive` per payload — is
     /// counted in `elided` instead, keeping `RunStats::events` exact for
     /// the budget analyzer.
     fn run_fused(&mut self) {
-        let plan = self.fused.take().expect("run_fused needs a fused plan");
-        let csr = self.csr.take().expect("fused runs are pattern-driven");
+        let plan = self.fused.as_ref().expect("run_fused needs a fused plan");
+        let csr = self.csr.as_ref().expect("fused runs are pattern-driven");
         let nranks = self.cfg.ranks();
         let steps = self.cfg.steps;
-        let mut cur = FusedCursor {
-            arrivals: vec![VecDeque::new(); csr.recv.len()],
-            work: Vec::with_capacity(nranks as usize),
-            // Every rank starts on the worklist, so begin-step wakes
-            // cannot double-push during seeding.
-            queued: vec![true; nranks as usize],
-        };
-        for r in 0..nranks {
-            self.fused_begin_step(r, SimTime::ZERO, &csr, &plan, &mut cur);
-        }
-        cur.work.extend(0..nranks);
-        while let Some(r) = cur.work.pop() {
-            cur.queued[r as usize] = false;
-            self.fused_advance(r, steps, &csr, &plan, &mut cur);
-        }
-        self.csr = Some(csr);
-        self.fused = Some(plan);
-    }
-
-    /// Begin `rank`'s next step at `now` on the fused path: the same
-    /// injection lookup and noise draw as `start_exec` (stream-for-stream,
-    /// so the draws are bit-identical), then post the step's eager sends
-    /// as per-edge arrival times instead of calendar events.
-    fn fused_begin_step(
-        &mut self,
-        rank: u32,
-        now: SimTime,
-        csr: &PartnerCsr,
-        plan: &FusedPlan,
-        cur: &mut FusedCursor,
-    ) {
-        let ri = rank as usize;
-        let step = self.ranks.step[ri];
-        let mut injected = SimDuration::ZERO;
-        if self.has_inj[ri] {
-            injected = injected + self.cfg.injections.delay_for(rank, step);
-        }
-        let noise = self.cfg.noise.sample(&mut self.ranks.rng[ri]);
-        self.ranks.phase[ri] = Phase::Waiting;
-        self.ranks.exec_start[ri] = now;
-        self.ranks.injected[ri] = injected;
-        self.ranks.noise_amt[ri] = noise;
-        self.ranks.epoch[ri] += 1;
-        let exec_end = now + injected + self.base_exec[ri] + noise;
-        self.ranks.exec_end[ri] = exec_end;
-        self.elided += 1; // the ExecEnd the event path would deliver
-        let base = csr.send_off[ri] as usize;
-        for (j, &dst) in csr.send_of(rank).iter().enumerate() {
-            let slot = base + j;
-            self.stats.messages += 1;
-            self.elided += 1; // the EagerArrive the event path would deliver
-            cur.arrivals[plan.send_edge[slot] as usize].push_back(exec_end + plan.send_cost[slot]);
-            let di = dst as usize;
-            if !cur.queued[di] {
-                cur.queued[di] = true;
-                cur.work.push(dst);
+        let ranks = &mut self.ranks;
+        // `exec_start` holds each rank's start of the current step.
+        for step in 0..steps {
+            for r in 0..nranks as usize {
+                let injected = if self.has_inj[r] {
+                    self.cfg.injections.delay_for(r as u32, step)
+                } else {
+                    SimDuration::ZERO
+                };
+                let noise = self.cfg.noise.sample(&mut ranks.rng[r]);
+                ranks.injected[r] = injected;
+                ranks.noise_amt[r] = noise;
+                ranks.exec_end[r] = ranks.exec_start[r] + injected + self.base_exec[r] + noise;
             }
-        }
-    }
-
-    /// Complete as many consecutive steps of `rank` as its pending
-    /// arrivals allow, streaming one trace/summary record per completed
-    /// step and re-posting the next step's sends each time.
-    fn fused_advance(
-        &mut self,
-        rank: u32,
-        steps: u32,
-        csr: &PartnerCsr,
-        plan: &FusedPlan,
-        cur: &mut FusedCursor,
-    ) {
-        let ri = rank as usize;
-        let rbase = csr.recv_off[ri] as usize;
-        let nrecv = csr.recv_of(rank).len();
-        loop {
-            if self.ranks.phase[ri] != Phase::Waiting {
-                return; // already Done; a straggler wake-up
-            }
-            if (rbase..rbase + nrecv).any(|e| cur.arrivals[e].is_empty()) {
-                return; // some partner has not reached this step yet
-            }
-            let mut comm_end = self.ranks.exec_end[ri];
-            for e in rbase..rbase + nrecv {
-                let t = cur.arrivals[e].pop_front().expect("checked non-empty");
-                if t > comm_end {
-                    comm_end = t;
+            for r in 0..nranks as usize {
+                let slots = csr.recv_off[r] as usize..csr.recv_off[r + 1] as usize;
+                let mut comm_end = ranks.exec_end[r];
+                for (&src, &cost) in csr.recv[slots.clone()].iter().zip(&plan.recv_cost[slots]) {
+                    comm_end = comm_end.max(ranks.exec_end[src as usize] + cost);
                 }
-            }
-            let step = self.ranks.step[ri];
-            match self.mode {
-                TraceMode::Full => self.records.push(PhaseRecord {
-                    rank,
-                    step,
-                    exec_start: self.ranks.exec_start[ri],
-                    exec_end: self.ranks.exec_end[ri],
-                    comm_end,
-                    injected: self.ranks.injected[ri],
-                    noise: self.ranks.noise_amt[ri],
-                }),
-                TraceMode::Summary => {
-                    self.summary_records += 1;
-                    self.summary_digest =
-                        self.summary_digest
-                            .wrapping_add(PhaseRecord::digest_of_parts(
-                                rank,
-                                step,
-                                self.ranks.exec_start[ri],
-                                self.ranks.exec_end[ri],
-                                comm_end,
-                                self.ranks.injected[ri],
-                                self.ranks.noise_amt[ri],
-                            ));
-                    self.finish[ri] = comm_end;
+                let rank = r as u32;
+                match self.mode {
+                    TraceMode::Full => self.records.push(PhaseRecord {
+                        rank,
+                        step,
+                        exec_start: ranks.exec_start[r],
+                        exec_end: ranks.exec_end[r],
+                        comm_end,
+                        injected: ranks.injected[r],
+                        noise: ranks.noise_amt[r],
+                    }),
+                    TraceMode::Summary => {
+                        self.summary_digest =
+                            self.summary_digest
+                                .wrapping_add(PhaseRecord::digest_of_parts(
+                                    rank,
+                                    step,
+                                    ranks.exec_start[r],
+                                    ranks.exec_end[r],
+                                    comm_end,
+                                    ranks.injected[r],
+                                    ranks.noise_amt[r],
+                                ))
+                    }
                 }
+                ranks.exec_start[r] = comm_end;
             }
-            self.ranks.step[ri] = step + 1;
-            if step + 1 == steps {
-                self.ranks.phase[ri] = Phase::Done;
-                self.done_count += 1;
-                return;
-            }
-            self.fused_begin_step(rank, comm_end, csr, plan, cur);
         }
+        if self.mode == TraceMode::Summary {
+            self.summary_records = u64::from(nranks) * u64::from(steps);
+            self.finish.copy_from_slice(&ranks.exec_start);
+        }
+        self.done_count = nranks;
+        let sends = csr.send.len() as u64 * u64::from(steps);
+        self.stats.messages += sends;
+        self.elided += u64::from(nranks) * u64::from(steps) + sends;
     }
 
     /// Post-mortem for a drained event queue with unfinished ranks: build

@@ -88,8 +88,8 @@ pub struct BudgetReport {
     pub events_exact: bool,
     /// Of `events_predicted`, how many the calendar queue actually
     /// delivers. Zero when the plain run takes the fused fast path (the
-    /// whole cascade is computed without touching the calendar, and every
-    /// event is counted as elided); equal to `events_predicted` otherwise.
+    /// step-major sweep never touches the calendar, and every event is
+    /// counted as elided); equal to `events_predicted` otherwise.
     /// Budgeted, checkpointed, and restored runs always deliver the full
     /// count regardless.
     pub events_delivered_predicted: u64,
@@ -208,7 +208,7 @@ fn predict(cfg: &SimConfig, events_per_sec: Option<f64>) -> BudgetReport {
     };
 
     let events_predicted = n * steps + messages_total * events_per_message + mb_events;
-    // Fused runs compute the cascade directly: nothing passes through the
+    // Fused runs sweep the recurrence directly: nothing passes through the
     // calendar queue, so the queue delivers zero events (the semantic
     // count above still holds — the engine reports delivered + elided).
     let fused = fused_path_eligible(cfg);

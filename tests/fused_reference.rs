@@ -1,7 +1,7 @@
 //! Fused fast-path property suite: the correctness contract for the
 //! handler-level fast path is that a plain run — which takes the fused
-//! cascade whenever [`fused_path_eligible`] holds — is **bit-identical**
-//! to every other way of producing the same scenario:
+//! step-major sweep whenever [`fused_path_eligible`] holds — is
+//! **bit-identical** to every other way of producing the same scenario:
 //!
 //! * the general event loop (forced by giving the run an event budget),
 //! * a checkpointed run resumed from any cut point (checkpointed and
@@ -11,11 +11,14 @@
 //! * the independent max-plus reference recurrence, on the closed-form
 //!   domain [`reference::supports`] describes.
 //!
-//! The configs are drawn from a family that crosses protocols (eager,
-//! rendezvous, default), directions, boundaries, noise, imbalance, and
-//! message-fault plans, so both fused-eligible and ineligible configs
-//! are exercised and the eligibility predicate itself is property-tested
-//! against the engine's behaviour (`peak_queue == 0` iff fused).
+//! The configs are drawn from a family that crosses networks (a flat
+//! chain and a multi-socket, multi-node allocation), protocols (eager,
+//! rendezvous, default), directions, neighbour distances 1–3,
+//! boundaries, up to two injections (sometimes on one rank), noise,
+//! imbalance, and message-fault plans, so both fused-eligible and
+//! ineligible configs are exercised and the eligibility predicate itself
+//! is property-tested against the engine's behaviour (`peak_queue == 0`
+//! iff fused).
 
 use idle_waves::mpisim::{
     fused_path_eligible, reference, CheckpointPolicy, Engine, FaultPlan, RunLimits, RunStats,
@@ -26,11 +29,30 @@ use idle_waves::prelude::*;
 const MS: SimDuration = SimDuration::from_millis(1);
 
 /// A stochastic config family straddling the fused-eligibility boundary:
-/// protocol × direction × boundary × noise × imbalance × faults.
+/// network × protocol × direction × distance × boundary × injections ×
+/// noise × imbalance × faults. Draws the config fails validation for
+/// (too few ranks for the distance) are redrawn, not narrowed away.
 fn random_config(g: &mut Gen) -> SimConfig {
+    loop {
+        let cfg = draw_config(g);
+        if !has_errors(&cfg.check()) {
+            return cfg;
+        }
+    }
+}
+
+fn draw_config(g: &mut Gen) -> SimConfig {
     let ranks = g.u32(4, 10);
     let steps = g.u32(3, 7);
-    let mut e = WaveExperiment::flat_chain(ranks)
+    let mut e = if g.bool() {
+        WaveExperiment::flat_chain(ranks)
+    } else {
+        // Two to four ranks per node, split over both sockets: every
+        // pattern then crosses the socket, node and network link domains.
+        let ppn = g.u32(2, 4);
+        WaveExperiment::on_network(machines::emmy_like(ranks.div_ceil(ppn), ppn, ranks))
+    };
+    e = e
         .direction(if g.bool() {
             Direction::Unidirectional
         } else {
@@ -41,6 +63,7 @@ fn random_config(g: &mut Gen) -> SimConfig {
         } else {
             Boundary::Periodic
         })
+        .distance(g.u32(1, 3))
         .texec(MS)
         .steps(steps)
         .seed(g.any_u64());
@@ -49,8 +72,12 @@ fn random_config(g: &mut Gen) -> SimConfig {
         1 => e.rendezvous(),
         _ => e, // default protocol: mode decided by message size
     };
-    if g.bool() {
-        e = e.inject(g.u32(0, ranks - 1), g.u32(0, steps - 1), MS.times(5));
+    let mut inj_rank = g.u32(0, ranks - 1);
+    for _ in 0..g.u32(0, 2) {
+        e = e.inject(inj_rank, g.u32(0, steps - 1), MS.times(g.u64(1, 5)));
+        if g.bool() {
+            inj_rank = g.u32(0, ranks - 1);
+        }
     }
     if g.bool() {
         e = e.noise(DelayDistribution::Exponential {
