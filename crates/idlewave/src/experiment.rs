@@ -7,7 +7,10 @@
 //! result of a run is a [`WaveTrace`], which pairs the raw trace with the
 //! analytic baselines needed by all analyses.
 
-use mpisim::{nominal_comm_duration, nominal_step_duration, run, Diagnostic, Protocol, SimConfig};
+use mpisim::{
+    nominal_comm_duration, nominal_step_duration, run, Diagnostic, Engine, Protocol, RunLimits,
+    SimConfig,
+};
 use netmodel::{ClusterNetwork, Hockney, PointToPoint};
 use noise_model::{presets, DelayDistribution, InjectionPlan};
 use simdes::{SimDuration, SimTime};
@@ -238,7 +241,9 @@ impl WaveTrace {
         if !errors.is_empty() {
             return Err(errors);
         }
-        let trace = mpisim::try_run(&cfg).map_err(|e| e.into_diagnostics())?;
+        let (trace, _) = Engine::try_new(cfg.clone())
+            .and_then(|e| e.try_run_with_stats(&RunLimits::none()))
+            .map_err(|e| e.into_diagnostics())?;
         Ok(WaveTrace::wrap(cfg, trace))
     }
 

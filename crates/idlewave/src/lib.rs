@@ -36,7 +36,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod collectives;
 pub mod continuum;
 pub mod decay;

@@ -38,6 +38,9 @@ impl ServeClient {
     /// Connect and consume the `hello` greeting.
     pub fn connect(addr: &str) -> io::Result<ServeClient> {
         let stream = TcpStream::connect(addr)?;
+        // Requests are single small lines: send each at once instead of
+        // letting Nagle's algorithm wait on the server's delayed ACK.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         let mut client = ServeClient {
             reader: wire::LineReader::new(stream, wire::DEFAULT_MAX_LINE_BYTES),
@@ -431,6 +434,22 @@ mod tests {
         assert_eq!(fps.len(), 12, "per-request seeds must differ");
         assert_eq!(a[0].id, "load-000");
         assert_eq!(a[11].id, "load-011");
+    }
+
+    #[test]
+    fn connections_send_requests_without_nagle_delay() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("bound").to_string();
+        let greeter = std::thread::spawn(move || {
+            let (mut server, _) = listener.accept().expect("accept");
+            let hello = Reply::Hello { serve_format: 1 };
+            wire::write_json_line(&mut server, &hello).expect("greet");
+            server
+        });
+        let client = ServeClient::connect(&addr).expect("connect");
+        assert_eq!(client.serve_format, 1);
+        assert!(client.writer.nodelay().expect("read TCP_NODELAY"));
+        drop(greeter.join().expect("greeter thread"));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod protocol;
 pub mod signals;
 
 use std::io;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -51,7 +51,8 @@ use mpisim::{config_fingerprint, PoolBudget};
 use tracefmt::json;
 use tracefmt::wire;
 
-use crate::sweep::{self, Chaos, Scenario, ScenarioResult, ScenarioStatus, SweepOptions};
+use crate::sweep::cache::Lookup;
+use crate::sweep::{self, Scenario, ScenarioResult, ScenarioStatus, SweepOptions};
 use admission::{Admission, Job, JobQueue};
 use journal::{Journal, JournalRecord};
 use protocol::{Reply, Request, StatsBody, SERVE_FORMAT};
@@ -387,54 +388,47 @@ fn worker(shared: &Shared) {
 /// real run under the service deadline policy (and store clean
 /// completions back).
 fn run_job(shared: &Shared, job: &Job, pool: &sweep::PoolSlot) -> ScenarioResult {
-    let cacheable = shared.cache.is_some()
-        && job.scenario.chaos == Chaos::None
-        && job.scenario.max_sim_time.is_none();
-    if cacheable {
-        let cache = shared.cache.as_ref().expect("cacheable implies a cache");
-        match cache.lookup(&job.config_json, job.fingerprint) {
-            sweep::cache::Lookup::Hit { attempts, summary } => {
-                shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return ScenarioResult {
-                    id: job.scenario.id.clone(),
-                    status: ScenarioStatus::Ok,
-                    attempts,
-                    error: None,
-                    summary: Some(summary),
-                    config_fingerprint: Some(job.fingerprint),
-                };
-            }
-            sweep::cache::Lookup::Quarantined(reason) => {
-                shared.warn(format!(
-                    "job {} ('{}'): cache entry {:#018x} quarantined ({reason}); \
-                     re-simulating",
-                    job.job, job.scenario.id, job.fingerprint
-                ));
-            }
-            sweep::cache::Lookup::Miss => {
-                shared.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-            }
+    let (result, event) = sweep::run_cached(
+        shared.cache.as_ref(),
+        &job.scenario,
+        &shared.sweep_opts,
+        (&job.config_json, job.fingerprint),
+        || {
+            sweep::ensure_pool_budget(pool, job.pool);
+            sweep::supervise(&job.scenario, &shared.sweep_opts, None, pool)
+        },
+    );
+    match event {
+        Some(Lookup::Hit { .. }) => {
+            shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
         }
-    }
-    sweep::ensure_pool_budget(pool, job.pool);
-    let result = sweep::supervise(&job.scenario, &shared.sweep_opts, None, pool);
-    if cacheable && result.status == ScenarioStatus::Ok {
-        if let (Some(cache), Some(summary)) = (shared.cache.as_ref(), result.summary.as_ref()) {
-            let _ = cache.store(&job.config_json, job.fingerprint, result.attempts, summary);
+        Some(Lookup::Miss) => {
+            shared.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
         }
+        Some(Lookup::Quarantined(reason)) => shared.warn(format!(
+            "job {} ('{}'): cache entry {:#018x} quarantined ({reason}); \
+             re-simulating",
+            job.job, job.scenario.id, job.fingerprint
+        )),
+        None => {}
     }
     result
+}
+
+/// Prepare an accepted stream for a connection: `TCP_NODELAY`, so a
+/// small reply is not held back by Nagle's algorithm waiting on the
+/// peer's delayed ACK, and a 50 ms read timeout, so the reader polls and
+/// notices a drain without client traffic.
+fn tune_stream(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(Duration::from_millis(50)))
 }
 
 /// One client connection: a reader loop (this thread) and a writer
 /// thread serializing all replies — the reader's synchronous answers and
 /// every in-flight job's eventual `result` — onto the socket.
-fn connection(shared: &Arc<Shared>, stream: std::net::TcpStream, max_line: usize) {
-    // The reader polls so it can notice a drain without client traffic.
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .is_err()
-    {
+fn connection(shared: &Arc<Shared>, stream: TcpStream, max_line: usize) {
+    if tune_stream(&stream).is_err() {
         return;
     }
     let Ok(write_half) = stream.try_clone() else {
@@ -613,4 +607,22 @@ fn submit(
         reply: Some(tx.clone()),
         scenario,
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_streams_are_tuned_for_small_replies() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let client = TcpStream::connect(listener.local_addr().expect("bound")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        tune_stream(&server).expect("tune accepted stream");
+        assert!(server.nodelay().expect("read TCP_NODELAY"));
+        // The kernel rounds the timeout to its tick, so only its presence
+        // is checked.
+        assert!(server.read_timeout().expect("read timeout").is_some());
+        drop(client);
+    }
 }

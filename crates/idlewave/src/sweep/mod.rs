@@ -1,10 +1,10 @@
 //! Supervised, crash-safe sweep execution on a work-stealing fabric.
 //!
-//! [`crate::batch`] fans independent simulations out over threads but
-//! propagates any failure: one panicking scenario kills a thousand-config
-//! sweep. This module is the hardened harness for chaos and fault-plan
-//! sweeps, where individual scenarios — and the harness itself — are
-//! *expected* to die:
+//! The one parallel runner of independent simulations. A plain fan-out
+//! over threads would propagate any failure: one panicking scenario
+//! would kill a thousand-config sweep. This module is the hardened
+//! harness for chaos and fault-plan sweeps, where individual scenarios —
+//! and the harness itself — are *expected* to die:
 //!
 //! * scenarios are dealt into **sharded work-stealing deques**
 //!   ([`fabric`]): a fixed worker pool drains home shards and steals
@@ -77,8 +77,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use mpisim::{
-    config_fingerprint, try_run_checkpointed_pooled, try_run_with_stats_pooled, CheckpointPolicy,
-    Engine, EnginePools, PoolBudget, RunLimits, RunStats, SimConfig, SimError, Snapshot,
+    config_fingerprint, try_run_checkpointed_pooled, CheckpointPolicy, Engine, EnginePools,
+    PoolBudget, RunLimits, RunStats, SimConfig, SimError, Snapshot,
 };
 use simdes::{SimDuration, SimTime};
 use tracefmt::json::{self, field_or_default, FromJson, Json, ToJson};
@@ -765,62 +765,88 @@ pub fn run_sweep_interruptible(
     })
 }
 
-/// Run one scenario to a terminal record: serve it from the verified
-/// cache when eligible, otherwise supervise a real run (and store clean
-/// completions back into the cache).
+/// Run one scenario to a terminal record through the verified cache,
+/// counting and reporting what the cache did.
 fn run_one(ctx: &RunCtx<'_>, scenario: &Scenario, idx: usize, pool: &PoolSlot) -> ScenarioResult {
     let fp = ctx.fingerprints[idx];
-    // Cache eligibility: the entry key is the config fingerprint and
-    // nothing else, so anything that makes the outcome depend on more
-    // than the config — harness chaos, a per-scenario watchdog override,
-    // a run-aborting event cap — opts the scenario out.
-    let cacheable = ctx.cache.is_some()
-        && scenario.chaos == Chaos::None
-        && scenario.max_sim_time.is_none()
-        && ctx.opts.max_events.is_none();
-    if cacheable {
-        let cache = ctx.cache.expect("cacheable implies a cache");
-        match cache.lookup(&ctx.config_jsons[idx], fp) {
-            cache::Lookup::Hit { attempts, summary } => {
-                ctx.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return ScenarioResult {
-                    id: scenario.id.clone(),
-                    status: ScenarioStatus::Ok,
-                    attempts,
-                    error: None,
-                    summary: Some(summary),
-                    config_fingerprint: Some(fp),
-                };
-            }
-            cache::Lookup::Quarantined(reason) => {
-                ctx.counters.quarantined.fetch_add(1, Ordering::Relaxed);
-                ctx.warnings
-                    .lock()
-                    .expect("warnings lock poisoned")
-                    .push(format!(
-                        "scenario '{}': cache entry {fp:#018x} quarantined ({reason}); \
-                         re-simulating",
-                        scenario.id
-                    ));
-            }
-            cache::Lookup::Miss => {
-                ctx.counters.misses.fetch_add(1, Ordering::Relaxed);
-            }
+    let (result, event) = run_cached(
+        ctx.cache,
+        scenario,
+        ctx.opts,
+        (&ctx.config_jsons[idx], fp),
+        || {
+            let ckpt = ctx.ckpt_dir.map(|dir| CkptPlan {
+                path: snapshot_path(dir, &scenario.id),
+                policy: ctx.opts.checkpoint,
+                resume: ctx.opts.resume,
+            });
+            supervise(scenario, ctx.opts, ckpt.as_ref(), pool)
+        },
+    );
+    let counter = match event {
+        None => return result,
+        Some(cache::Lookup::Hit { .. }) => &ctx.counters.hits,
+        Some(cache::Lookup::Miss) => &ctx.counters.misses,
+        Some(cache::Lookup::Quarantined(reason)) => {
+            ctx.warnings
+                .lock()
+                .expect("warnings lock poisoned")
+                .push(format!(
+                    "scenario '{}': cache entry {fp:#018x} quarantined ({reason}); \
+                     re-simulating",
+                    scenario.id
+                ));
+            &ctx.counters.quarantined
         }
-    }
-    let ckpt = ctx.ckpt_dir.map(|dir| CkptPlan {
-        path: snapshot_path(dir, &scenario.id),
-        policy: ctx.opts.checkpoint,
-        resume: ctx.opts.resume,
-    });
-    let result = supervise(scenario, ctx.opts, ckpt.as_ref(), pool);
-    if cacheable && result.status == ScenarioStatus::Ok {
-        if let (Some(cache), Some(summary)) = (ctx.cache, result.summary) {
-            // Best-effort: a full disk must not fail an earned result.
-            let _ = cache.store(&ctx.config_jsons[idx], fp, result.attempts, &summary);
-        }
-    }
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
     result
+}
+
+/// Can the result cache serve this scenario? Its entries are keyed by the
+/// config fingerprint and nothing else, so anything that makes the
+/// outcome depend on more than the config — harness chaos, a per-scenario
+/// watchdog override, a run-aborting event cap — opts the scenario out.
+/// `wavesim serve` never sets [`SweepOptions::max_events`], so for its jobs
+/// only the two scenario terms decide.
+fn cacheable(scenario: &Scenario, opts: &SweepOptions) -> bool {
+    scenario.chaos == Chaos::None && scenario.max_sim_time.is_none() && opts.max_events.is_none()
+}
+
+/// The cache-aware executor shared by the sweep fabric and `wavesim
+/// serve`: serve a cacheable scenario from a verified entry under its
+/// canonical config JSON and fingerprint when there is one, otherwise
+/// `run` it and store a clean completion back. Returns the
+/// record and what the cache lookup found (`None` when the cache was not
+/// consulted); the caller keeps its own counters and warnings.
+pub(crate) fn run_cached(
+    cache: Option<&cache::ResultCache>,
+    scenario: &Scenario,
+    opts: &SweepOptions,
+    (config_json, fp): (&str, u64),
+    run: impl FnOnce() -> ScenarioResult,
+) -> (ScenarioResult, Option<cache::Lookup>) {
+    let Some(cache) = cache.filter(|_| cacheable(scenario, opts)) else {
+        return (run(), None);
+    };
+    let lookup = cache.lookup(config_json, fp);
+    if let cache::Lookup::Hit { attempts, summary } = lookup {
+        let hit = ScenarioResult {
+            id: scenario.id.clone(),
+            status: ScenarioStatus::Ok,
+            attempts,
+            error: None,
+            summary: Some(summary),
+            config_fingerprint: Some(fp),
+        };
+        return (hit, Some(lookup));
+    }
+    let result = run();
+    if let (ScenarioStatus::Ok, Some(summary)) = (result.status, &result.summary) {
+        // Best-effort: a full disk must not fail an earned result.
+        let _ = cache.store(config_json, fp, result.attempts, summary);
+    }
+    (result, Some(lookup))
 }
 
 /// A supervision slot's shared engine-buffer pool. Attempt threads take
@@ -1164,10 +1190,17 @@ fn attempt_body(
         let errors: Vec<_> = diags.into_iter().filter(|d| d.is_error()).collect();
         return Attempt::Invalid(simcheck::render_report(&errors));
     }
+    let policy = ckpt.map_or_else(CheckpointPolicy::none, |plan| plan.policy);
+    let sink = |snap: &Snapshot| {
+        if let Some(plan) = ckpt {
+            // Best-effort: a full disk must not kill a healthy run.
+            let _ = write_snapshot_atomic(&plan.path, snap);
+        }
+    };
     // A mid-run resume rebuilds its engine from the snapshot, not the
     // pool; only fresh runs draw their buffers from the slot's pool.
     if let Some(engine) = try_restore(&cfg, ckpt) {
-        return classify(run_restored(engine, limits, ckpt));
+        return classify(engine.try_run_checkpointed(limits, &policy, sink));
     }
     let (gen, mut pools) = {
         let mut slot = pool.lock().expect("pool poisoned");
@@ -1184,22 +1217,7 @@ fn attempt_body(
         // slot's pool — the stranded-pool scenario.
         std::thread::sleep(d);
     }
-    let run = match ckpt {
-        Some(plan) if plan.policy.is_active() => {
-            let path = plan.path.clone();
-            try_run_checkpointed_pooled(
-                &cfg,
-                limits,
-                &plan.policy,
-                move |snap| {
-                    // Best-effort: a full disk must not kill a healthy run.
-                    let _ = write_snapshot_atomic(&path, snap);
-                },
-                &mut pools,
-            )
-        }
-        _ => try_run_with_stats_pooled(&cfg, limits, &mut pools),
-    };
+    let run = try_run_checkpointed_pooled(&cfg, limits, &policy, sink, &mut pools);
     {
         let mut slot = pool.lock().expect("pool poisoned");
         if slot.gen == gen {
@@ -1209,25 +1227,6 @@ fn attempt_body(
         // a replacement — this pool is stale, drop it.
     }
     classify(run)
-}
-
-/// Finish a snapshot-restored engine (unpooled — see [`attempt_body`]).
-fn run_restored(
-    engine: Engine,
-    limits: &RunLimits,
-    ckpt: Option<&CkptPlan>,
-) -> Result<(Trace, RunStats), SimError> {
-    match ckpt {
-        Some(plan) if plan.policy.is_active() => {
-            let path = plan.path.clone();
-            let policy = plan.policy;
-            engine.try_run_checkpointed(limits, &policy, move |snap| {
-                // Best-effort: a full disk must not kill a healthy run.
-                let _ = write_snapshot_atomic(&path, snap);
-            })
-        }
-        _ => engine.try_run_with_stats(limits),
-    }
 }
 
 /// Map a run's result to an attempt outcome.

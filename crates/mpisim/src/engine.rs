@@ -564,7 +564,7 @@ const DOMAIN_ORDER: [Domain; 3] = [Domain::Socket, Domain::Node, Domain::Network
 
 /// Trace retention policy of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceMode {
+pub(crate) enum TraceMode {
     /// Retain every [`PhaseRecord`] and build a full [`Trace`] — required
     /// for checkpointing and all figure analyses.
     Full,
@@ -575,7 +575,7 @@ pub enum TraceMode {
     Summary,
 }
 
-/// Aggregate result of a [`TraceMode::Summary`] run.
+/// Aggregate result of a summary-mode run ([`try_run_summary_pooled`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSummary {
     /// Ranks in the run.
@@ -599,7 +599,7 @@ impl RunSummary {
         self.finish.iter().copied().max().unwrap_or(SimTime::ZERO)
     }
 
-    /// The summary a [`TraceMode::Summary`] run of the same scenario
+    /// The summary a [`try_run_summary_pooled`] run of the same scenario
     /// would produce, folded from a full trace. The bridge the tests use
     /// to prove summary mode loses nothing but the per-record detail.
     pub fn of_trace(t: &Trace) -> RunSummary {
@@ -783,8 +783,13 @@ impl Default for EnginePools {
     }
 }
 
-/// The simulation engine. Build with [`Engine::new`], run with
-/// [`Engine::run`] (or use the [`crate::run`] convenience function).
+/// The simulation engine. Build with [`Engine::try_new`] (or
+/// [`Engine::new`], [`Engine::try_new_pooled`], [`Engine::restore`]) and
+/// run with [`Engine::try_run_with_stats`] or, with periodic snapshots,
+/// [`Engine::try_run_checkpointed`]. The pooled helpers
+/// [`try_run_checkpointed_pooled`] and [`try_run_summary_pooled`] build,
+/// run, and [`recycle`](Engine::recycle) in one call; [`crate::run`] is
+/// the panicking convenience.
 pub struct Engine {
     pub(crate) cfg: SimConfig,
     pub(crate) q: EventQueue<Ev>,
@@ -868,6 +873,18 @@ pub struct Engine {
     batch: Vec<(SimTime, Ev)>,
 }
 
+/// `cfg` itself when [`SimConfig::check`] finds no error-level problem,
+/// otherwise [`SimError::InvalidConfig`] with the rejecting diagnostics —
+/// the validation every engine constructor runs first.
+pub(crate) fn validated(cfg: SimConfig) -> Result<SimConfig, SimError> {
+    let diags = cfg.check();
+    if diag::has_errors(&diags) {
+        let errors = diags.into_iter().filter(|d| d.is_error()).collect();
+        return Err(SimError::InvalidConfig(errors));
+    }
+    Ok(cfg)
+}
+
 impl Engine {
     /// Set up a simulation for `cfg` (validates the config).
     ///
@@ -882,24 +899,14 @@ impl Engine {
     /// Fallible [`Engine::new`]: returns [`SimError::InvalidConfig`] with
     /// the rejecting diagnostics instead of panicking.
     pub fn try_new(cfg: SimConfig) -> Result<Self, SimError> {
-        let diags = cfg.check();
-        if diag::has_errors(&diags) {
-            let errors = diags.into_iter().filter(|d| d.is_error()).collect();
-            return Err(SimError::InvalidConfig(errors));
-        }
-        Ok(Engine::scaffold(cfg, None))
+        Ok(Engine::scaffold(validated(cfg)?, None))
     }
 
     /// [`Engine::try_new`] drawing its large allocations from `pools`
     /// instead of the allocator. [`Engine::recycle`] (or the `*_pooled`
     /// run helpers, which call it) gives them back afterwards.
     pub fn try_new_pooled(cfg: SimConfig, pools: &mut EnginePools) -> Result<Self, SimError> {
-        let diags = cfg.check();
-        if diag::has_errors(&diags) {
-            let errors = diags.into_iter().filter(|d| d.is_error()).collect();
-            return Err(SimError::InvalidConfig(errors));
-        }
-        Ok(Engine::scaffold(cfg, Some(pools)))
+        Ok(Engine::scaffold(validated(cfg)?, Some(pools)))
     }
 
     /// Build an engine in the fresh (pre-run) state with every derived
@@ -1046,71 +1053,14 @@ impl Engine {
         pools.runs += 1;
     }
 
-    /// Run to completion and return the trace.
-    ///
-    /// # Panics
-    /// Panics on deadlock (event queue drained with unfinished ranks):
-    /// with an empty fault plan that always indicates an engine or
-    /// configuration bug; with faults it can also mean a fail-stop crash
-    /// or a lost transfer starved the run. Library code should prefer
-    /// [`Engine::try_run`].
-    pub fn run(self) -> Trace {
-        self.run_with_stats().0
-    }
-
-    /// Fallible [`Engine::run`] under optional [`RunLimits`] budgets:
+    /// Run to completion under optional [`RunLimits`] budgets, returning
+    /// the trace together with resource statistics of the simulation
+    /// itself. On success the trace covers every `(rank, step)` cell; on
+    /// failure the error describes which scenario pathology ended the run:
     /// deadlock and starvation become [`SimError::Stalled`], a tripped
     /// budget becomes [`SimError::Watchdog`].
-    pub fn try_run(self, limits: &RunLimits) -> Result<Trace, SimError> {
-        Ok(self.try_run_with_stats(limits)?.0)
-    }
-
-    /// Run to completion, returning the trace together with resource
-    /// statistics of the simulation itself.
-    ///
-    /// # Panics
-    /// Panics on deadlock, like [`Engine::run`].
-    pub fn run_with_stats(self) -> (Trace, RunStats) {
-        match self.try_run_with_stats(&RunLimits::none()) {
-            Ok(out) => out,
-            Err(SimError::Stalled {
-                done,
-                ranks,
-                report,
-            }) => panic!("simulation deadlocked with {done}/{ranks} ranks finished:\n{report}"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Engine::run_with_stats`] under optional [`RunLimits`]
-    /// budgets. On success the trace covers every `(rank, step)` cell; on
-    /// failure the error describes which scenario pathology ended the run
-    /// (stall/starvation vs exceeded budget).
     pub fn try_run_with_stats(self, limits: &RunLimits) -> Result<(Trace, RunStats), SimError> {
         self.try_run_checkpointed(limits, &CheckpointPolicy::none(), |_| {})
-    }
-
-    /// Run to completion in [`TraceMode::Summary`]: phase records are
-    /// folded into a [`RunSummary`] as they complete instead of being
-    /// retained, so memory stays O(ranks) regardless of step count. The
-    /// summary's digest equals [`RunSummary::of_trace`] of the full-mode
-    /// trace of the same scenario iff the runs are bit-identical.
-    ///
-    /// # Panics
-    /// Panics when called on a restored (already started) engine: the
-    /// records completed before the snapshot cut are gone, so a summary
-    /// resumed mid-run would silently miss them.
-    pub fn try_run_summary(
-        mut self,
-        limits: &RunLimits,
-    ) -> Result<(RunSummary, RunStats), SimError> {
-        assert!(
-            !self.started,
-            "summary mode must start from a fresh engine, not a restored one"
-        );
-        self.mode = TraceMode::Summary;
-        self.run_loop(limits, &CheckpointPolicy::none(), &mut |_| {})?;
-        Ok(self.take_summary())
     }
 
     fn take_summary(&mut self) -> (RunSummary, RunStats) {
@@ -2141,55 +2091,47 @@ impl Engine {
     }
 }
 
-/// Run a simulation described by `cfg` and return its trace.
+/// Run a simulation described by `cfg` and return its trace — the one
+/// panicking convenience. Library code should build an [`Engine`] with
+/// [`Engine::try_new`] and call [`Engine::try_run_with_stats`], which
+/// returns every failure below as a [`SimError`] value.
 ///
 /// # Panics
-/// Panics when the config fails validation or the simulation deadlocks,
-/// like [`Engine::run`]. Library code should prefer [`try_run`].
+/// Panics when the config fails validation (with the rendered diagnostic
+/// report) or the simulation deadlocks (event queue drained with
+/// unfinished ranks): with an empty fault plan a deadlock always
+/// indicates an engine or configuration bug; with faults it can also mean
+/// a fail-stop crash or a lost transfer starved the run.
 pub fn run(cfg: &SimConfig) -> Trace {
-    Engine::new(cfg.clone()).run()
-}
-
-/// Fallible [`run`]: invalid configs, stalls/starvation, and deadlocks
-/// come back as [`SimError`] values instead of panics.
-pub fn try_run(cfg: &SimConfig) -> Result<Trace, SimError> {
-    try_run_with_limits(cfg, &RunLimits::none())
-}
-
-/// [`try_run`] under [`RunLimits`] budgets: the supervised sweep runner
-/// uses this to bound runaway scenarios deterministically in sim time
-/// before any wall-clock timeout has to fire.
-pub fn try_run_with_limits(cfg: &SimConfig, limits: &RunLimits) -> Result<Trace, SimError> {
-    Engine::try_new(cfg.clone())?.try_run(limits)
-}
-
-/// Full-trace run drawing and returning all large allocations from
-/// `pools`: run `n` scenarios of the same shape through one pool and only
-/// the first allocates.
-pub fn try_run_with_stats_pooled(
-    cfg: &SimConfig,
-    limits: &RunLimits,
-    pools: &mut EnginePools,
-) -> Result<(Trace, RunStats), SimError> {
-    let mut e = Engine::try_new_pooled(cfg.clone(), pools)?;
-    match e.run_loop(limits, &CheckpointPolicy::none(), &mut |_| {}) {
-        Ok(()) => {
-            let trace = Trace::from_record_buffer(e.cfg.ranks(), e.cfg.steps, &mut e.records);
-            let stats = e.stats;
-            e.recycle(pools);
-            Ok((trace, stats))
-        }
-        Err(err) => {
-            e.recycle(pools);
-            Err(err)
-        }
+    match Engine::new(cfg.clone()).try_run_with_stats(&RunLimits::none()) {
+        Ok((trace, _)) => trace,
+        Err(SimError::Stalled {
+            done,
+            ranks,
+            report,
+        }) => panic!("simulation deadlocked with {done}/{ranks} ranks finished:\n{report}"),
+        Err(e) => panic!("{e}"),
     }
+}
+
+/// Build a pooled engine for `cfg`, drive it with `run`, and hand every
+/// buffer back to `pools` whether the run completed or not.
+fn run_pooled<T>(
+    cfg: &SimConfig,
+    pools: &mut EnginePools,
+    run: impl FnOnce(&mut Engine) -> Result<T, SimError>,
+) -> Result<T, SimError> {
+    let mut e = Engine::try_new_pooled(cfg.clone(), pools)?;
+    let out = run(&mut e);
+    e.recycle(pools);
+    out
 }
 
 /// [`Engine::try_run_checkpointed`] drawing and returning all large
 /// allocations from `pools`: the sweep runner's per-worker path, so a
 /// supervisor thread churning through hundreds of scenarios reuses one
-/// set of buffers instead of reallocating per attempt.
+/// set of buffers instead of reallocating per attempt. With
+/// [`CheckpointPolicy::none`] it is a pooled [`Engine::try_run_with_stats`].
 pub fn try_run_checkpointed_pooled<F>(
     cfg: &SimConfig,
     limits: &RunLimits,
@@ -2200,42 +2142,29 @@ pub fn try_run_checkpointed_pooled<F>(
 where
     F: FnMut(&Snapshot),
 {
-    let mut e = Engine::try_new_pooled(cfg.clone(), pools)?;
-    match e.run_loop(limits, policy, &mut sink) {
-        Ok(()) => {
-            let trace = Trace::from_record_buffer(e.cfg.ranks(), e.cfg.steps, &mut e.records);
-            let stats = e.stats;
-            e.recycle(pools);
-            Ok((trace, stats))
-        }
-        Err(err) => {
-            e.recycle(pools);
-            Err(err)
-        }
-    }
+    run_pooled(cfg, pools, |e| {
+        e.run_loop(limits, policy, &mut sink)?;
+        let trace = Trace::from_record_buffer(e.cfg.ranks(), e.cfg.steps, &mut e.records);
+        Ok((trace, e.stats))
+    })
 }
 
-/// [`Engine::try_run_summary`] drawing and returning all large
-/// allocations from `pools` — the throughput benchmark's measurement
-/// kernel: O(ranks) memory, no per-run allocation churn.
+/// Run to completion with phase records folded into a [`RunSummary`] as
+/// they complete instead of being retained, so memory stays O(ranks)
+/// regardless of step count, drawing and returning all large allocations
+/// from `pools` — the throughput benchmark's measurement kernel. The
+/// summary's digest equals [`RunSummary::of_trace`] of the full trace of
+/// the same scenario iff the runs are bit-identical.
 pub fn try_run_summary_pooled(
     cfg: &SimConfig,
     limits: &RunLimits,
     pools: &mut EnginePools,
 ) -> Result<(RunSummary, RunStats), SimError> {
-    let mut e = Engine::try_new_pooled(cfg.clone(), pools)?;
-    e.mode = TraceMode::Summary;
-    match e.run_loop(limits, &CheckpointPolicy::none(), &mut |_| {}) {
-        Ok(()) => {
-            let out = e.take_summary();
-            e.recycle(pools);
-            Ok(out)
-        }
-        Err(err) => {
-            e.recycle(pools);
-            Err(err)
-        }
-    }
+    run_pooled(cfg, pools, |e| {
+        e.mode = TraceMode::Summary;
+        e.run_loop(limits, &CheckpointPolicy::none(), &mut |_| {})?;
+        Ok(e.take_summary())
+    })
 }
 
 #[cfg(test)]
@@ -2354,7 +2283,7 @@ mod tests {
     #[test]
     fn empty_fault_plan_changes_nothing() {
         let cfg = fault_cfg(8);
-        let baseline = Engine::new(cfg.clone()).run();
+        let baseline = run(&cfg);
         let mut with_plan = cfg;
         with_plan.faults = FaultPlan::none().with_messages(MessageFaults::default());
         let (trace, stats) = Engine::new(with_plan)
@@ -2372,7 +2301,7 @@ mod tests {
         let clean_finish = {
             let mut c = cfg.clone();
             c.faults = FaultPlan::none();
-            Engine::new(c).run().total_runtime()
+            run(&c).total_runtime()
         };
         let (trace, stats) = Engine::new(cfg)
             .try_run_with_stats(&RunLimits::none())
@@ -2426,10 +2355,10 @@ mod tests {
         let outage = SimDuration::from_millis(2);
         let mut crash = fault_cfg(8);
         crash.faults = FaultPlan::none().with_crash(3, 1, Some(outage));
-        let crash_trace = Engine::new(crash).run();
+        let crash_trace = run(&crash);
         let mut inject = fault_cfg(8);
         inject.injections = noise_model::InjectionPlan::single(3, 1, outage);
-        let inject_trace = Engine::new(inject).run();
+        let inject_trace = run(&inject);
         assert_eq!(crash_trace.total_runtime(), inject_trace.total_runtime());
     }
 
@@ -2440,16 +2369,13 @@ mod tests {
         stall.faults = FaultPlan::none().with_stall(2, 0, d);
         let mut inject = fault_cfg(8);
         inject.injections = noise_model::InjectionPlan::single(2, 0, d);
-        assert_eq!(
-            Engine::new(stall).run().total_runtime(),
-            Engine::new(inject).run().total_runtime()
-        );
+        assert_eq!(run(&stall).total_runtime(), run(&inject).total_runtime());
     }
 
     #[test]
     fn degradation_window_slows_only_transfers_inside_it() {
         let mut cfg = fault_cfg(8);
-        let clean_finish = Engine::new(cfg.clone()).run().total_runtime();
+        let clean_finish = run(&cfg).total_runtime();
         // Degrade every link 10x across the whole run.
         cfg.faults = FaultPlan::none().with_degradation(LinkDegradation {
             from: SimTime::ZERO,
@@ -2458,7 +2384,7 @@ mod tests {
             latency_factor: 10.0,
             bandwidth_factor: 10.0,
         });
-        let slow_finish = Engine::new(cfg.clone()).run().total_runtime();
+        let slow_finish = run(&cfg).total_runtime();
         assert!(
             slow_finish > clean_finish,
             "{slow_finish} vs {clean_finish}"
@@ -2472,7 +2398,7 @@ mod tests {
             latency_factor: 10.0,
             bandwidth_factor: 10.0,
         });
-        assert_eq!(Engine::new(cfg).run().total_runtime(), clean_finish);
+        assert_eq!(run(&cfg).total_runtime(), clean_finish);
     }
 
     #[test]
@@ -2497,8 +2423,8 @@ mod tests {
         cfg.faults = FaultPlan::none()
             .with_drops(0.25, SimDuration::from_micros(100))
             .with_stall(1, 2, SimDuration::from_micros(300));
-        let a = Engine::new(cfg.clone()).run();
-        let b = Engine::new(cfg).run();
+        let a = run(&cfg);
+        let b = run(&cfg);
         assert_eq!(a, b);
     }
 
@@ -2511,9 +2437,9 @@ mod tests {
         let (trace, full_stats) = Engine::new(cfg.clone())
             .try_run_with_stats(&RunLimits::none())
             .expect("completes");
-        let (summary, sum_stats) = Engine::new(cfg)
-            .try_run_summary(&RunLimits::none())
-            .expect("completes");
+        let (summary, sum_stats) =
+            try_run_summary_pooled(&cfg, &RunLimits::none(), &mut EnginePools::new())
+                .expect("completes");
         assert_eq!(summary, RunSummary::of_trace(&trace));
         assert_eq!(summary.total_runtime(), trace.total_runtime());
         assert_eq!(full_stats, sum_stats);
@@ -2537,15 +2463,27 @@ mod tests {
         }
     }
 
+    fn full_pooled(
+        cfg: &SimConfig,
+        pools: &mut EnginePools,
+    ) -> Result<(Trace, RunStats), SimError> {
+        try_run_checkpointed_pooled(
+            cfg,
+            &RunLimits::none(),
+            &CheckpointPolicy::none(),
+            |_| {},
+            pools,
+        )
+    }
+
     #[test]
     fn pooled_runs_are_bit_identical_and_stop_allocating() {
         let cfg = fault_cfg(8);
-        let baseline = Engine::new(cfg.clone()).run();
+        let baseline = run(&cfg);
         let mut pools = EnginePools::with_budget(&test_budget(&cfg, true));
         let mut fingerprints = Vec::new();
         for _ in 0..5 {
-            let (trace, _) =
-                try_run_with_stats_pooled(&cfg, &RunLimits::none(), &mut pools).expect("completes");
+            let (trace, _) = full_pooled(&cfg, &mut pools).expect("completes");
             fingerprints.push(trace.fingerprint());
             // Budget-driven pre-sizing: every run, including the first,
             // fits inside the budgeted watermark. No warmup runs.
@@ -2569,8 +2507,7 @@ mod tests {
         let mut pools = EnginePools::new();
         let mut grows_per_run = Vec::new();
         for _ in 0..5 {
-            let (_, _) =
-                try_run_with_stats_pooled(&cfg, &RunLimits::none(), &mut pools).expect("completes");
+            let (_, _) = full_pooled(&cfg, &mut pools).expect("completes");
             grows_per_run.push(pools.grows());
         }
         // Without a budget the first run sets the baseline and run 2 may
@@ -2584,7 +2521,7 @@ mod tests {
     #[test]
     fn pooled_summary_runs_match_and_stop_allocating() {
         let cfg = fault_cfg(8);
-        let reference = RunSummary::of_trace(&Engine::new(cfg.clone()).run());
+        let reference = RunSummary::of_trace(&run(&cfg));
         // Summary pools retain no trace records.
         let mut pools = EnginePools::with_budget(&test_budget(&cfg, false));
         for _ in 0..6 {
@@ -2652,7 +2589,9 @@ mod tests {
     fn fused_path_is_bit_identical_to_the_general_loop() {
         let cfg = fused_cfg(8);
         // Plain run: takes the fused path (no calendar traffic at all).
-        let (fused, fused_stats) = Engine::new(cfg.clone()).run_with_stats();
+        let (fused, fused_stats) = Engine::new(cfg.clone())
+            .try_run_with_stats(&RunLimits::none())
+            .expect("completes");
         assert_eq!(fused_stats.peak_queue, 0, "fused runs skip the calendar");
         // An event budget (far above the real count) forces the general
         // loop without perturbing it.
@@ -2671,9 +2610,9 @@ mod tests {
         assert_eq!(fused_stats.messages, general_stats.messages);
 
         // Summary mode folds the same records on both paths.
-        let (summary, _) = Engine::new(cfg)
-            .try_run_summary(&RunLimits::none())
-            .expect("completes");
+        let (summary, _) =
+            try_run_summary_pooled(&cfg, &RunLimits::none(), &mut EnginePools::new())
+                .expect("completes");
         assert_eq!(summary, RunSummary::of_trace(&fused));
     }
 
@@ -2681,10 +2620,7 @@ mod tests {
     fn fused_path_matches_the_reference_recurrence() {
         let cfg = fused_cfg(12);
         assert!(crate::reference::supports(&cfg));
-        assert_eq!(
-            Engine::new(cfg.clone()).run(),
-            crate::reference::reference_trace(&cfg)
-        );
+        assert_eq!(run(&cfg), crate::reference::reference_trace(&cfg));
     }
 
     #[test]

@@ -7,8 +7,18 @@
 //! hierarchical cluster network; one-off delays and fine-grained noise
 //! perturb the execution phases.
 //!
-//! Entry point: build a [`SimConfig`], call [`run`], analyse the returned
-//! [`tracefmt::Trace`] (typically through the `idlewave` crate).
+//! Entry points: build a [`SimConfig`], then run it in one of five ways
+//! and analyse the returned [`tracefmt::Trace`] (typically through the
+//! `idlewave` crate):
+//!
+//! * [`run`] — the panicking convenience for known-good configs;
+//! * [`Engine::try_run_with_stats`] — trace plus [`RunStats`] under
+//!   optional [`RunLimits`], every failure a [`SimError`] value;
+//! * [`Engine::try_run_checkpointed`] — the same with periodic
+//!   [`Snapshot`]s on a [`CheckpointPolicy`] cadence;
+//! * [`try_run_checkpointed_pooled`] and [`try_run_summary_pooled`] — a
+//!   full trace or an O(ranks) [`RunSummary`], reusing the buffers of an
+//!   [`EnginePools`] across runs.
 //!
 //! See the `engine` module docs for the protocol semantics, including the
 //! head-of-line CTS gating rule that reproduces the paper's σ = 2
@@ -28,9 +38,8 @@ mod snapshot;
 pub use config::{Mode, NoisePlacement, Protocol, SimConfig};
 pub use diag::{Diagnostic, Severity};
 pub use engine::{
-    fused_path_eligible, run, try_run, try_run_checkpointed_pooled, try_run_summary_pooled,
-    try_run_with_limits, try_run_with_stats_pooled, Engine, EnginePools, PoolBudget, RunStats,
-    RunSummary, TraceMode,
+    fused_path_eligible, run, try_run_checkpointed_pooled, try_run_summary_pooled, Engine,
+    EnginePools, PoolBudget, RunStats, RunSummary,
 };
 pub use error::{RunLimits, SimError};
 pub use faults::{

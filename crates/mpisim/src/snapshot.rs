@@ -47,7 +47,8 @@ use tracefmt::{fnv1a_64, FromJson, Json, PhaseRecord, ToJson};
 use crate::config::{Mode, SimConfig};
 use crate::diag::Diagnostic;
 use crate::engine::{
-    EarlySet, Engine, Ev, Phase, RankState, Ranks, ReqState, Request, RunStats, TraceMode,
+    validated, EarlySet, Engine, Ev, Phase, RankState, Ranks, ReqState, Request, RunStats,
+    TraceMode,
 };
 use crate::error::SimError;
 
@@ -460,8 +461,9 @@ impl Engine {
     /// calls this on the [`CheckpointPolicy`] cadence.
     ///
     /// # Panics
-    /// Panics on a [`TraceMode::Summary`] engine: summary mode discards
-    /// the completed records a resumable snapshot must carry.
+    /// Panics on the engine of a summary-mode run
+    /// ([`crate::try_run_summary_pooled`]): summary mode discards the
+    /// completed records a resumable snapshot must carry.
     pub fn checkpoint(&self) -> Snapshot {
         assert!(
             self.mode == TraceMode::Full,
@@ -479,11 +481,7 @@ impl Engine {
     /// Running the restored engine to completion yields a trace
     /// bit-identical to the uninterrupted original run.
     pub fn restore(cfg: SimConfig, snap: &Snapshot) -> Result<Engine, SimError> {
-        let diags = cfg.check();
-        if crate::diag::has_errors(&diags) {
-            let errors = diags.into_iter().filter(|d| d.is_error()).collect();
-            return Err(SimError::InvalidConfig(errors));
-        }
+        let cfg = validated(cfg)?;
         if cfg != snap.config {
             return Err(SimError::Snapshot(Diagnostic::error(
                 "RT005",
@@ -885,7 +883,9 @@ mod tests {
         assert!(snap.events_delivered() >= 9);
         let resumed = Engine::restore(c, &snap)
             .expect("valid snapshot restores")
-            .run();
+            .try_run_with_stats(&RunLimits::none())
+            .expect("resumed run completes")
+            .0;
         assert_eq!(resumed.fingerprint(), full_trace.fingerprint());
         assert_eq!(resumed, full_trace);
     }
@@ -901,7 +901,9 @@ mod tests {
         assert_eq!(decoded.encode(), text, "decode/encode round trip");
         let resumed = Engine::restore(decoded.config().clone(), &decoded)
             .expect("decoded snapshot restores")
-            .run();
+            .try_run_with_stats(&RunLimits::none())
+            .expect("resumed run completes")
+            .0;
         assert_eq!(resumed.fingerprint(), full_trace.fingerprint());
     }
 
@@ -910,10 +912,14 @@ mod tests {
         // `started: false` round trip: checkpointing before the first event
         // must yield a snapshot that reproduces the entire run.
         let c = cfg(4, 3);
-        let baseline = Engine::new(c.clone()).run();
+        let baseline = crate::run(&c);
         let snap = Engine::try_new(c.clone()).expect("valid").checkpoint();
         assert!(!snap.started);
-        let resumed = Engine::restore(c, &snap).expect("restores").run();
+        let resumed = Engine::restore(c, &snap)
+            .expect("restores")
+            .try_run_with_stats(&RunLimits::none())
+            .expect("resumed run completes")
+            .0;
         assert_eq!(resumed.fingerprint(), baseline.fingerprint());
     }
 

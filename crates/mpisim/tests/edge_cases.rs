@@ -1,7 +1,7 @@
 //! Engine edge cases: configurations at the boundary of the supported
 //! domain must behave sensibly, not just the paper's canonical setups.
 
-use mpisim::{run, Engine, Protocol, SimConfig};
+use mpisim::{run, Engine, Protocol, RunLimits, SimConfig};
 use netmodel::{ClusterNetwork, Hockney, PointToPoint};
 use noise_model::{DelayDistribution, Injection, InjectionPlan};
 use simdes::{SimDuration, SimTime};
@@ -222,7 +222,9 @@ fn heavy_noise_on_rendezvous_ring_terminates() {
         mean: SimDuration::from_micros(500),
     };
     c.injections = InjectionPlan::single(11, 2, MS.times(40));
-    let (t, stats) = Engine::new(c).run_with_stats();
+    let (t, stats) = Engine::new(c)
+        .try_run_with_stats(&RunLimits::none())
+        .expect("completes");
     assert_eq!(t.ranks(), 80);
     assert_eq!(stats.messages, 2 * 80 * 30);
 }

@@ -2,7 +2,7 @@
 //! delay-propagation mechanics (Figs. 4, 5, 7) on controlled
 //! configurations before any statistical analysis is built on top.
 
-use mpisim::{run, Protocol, SimConfig};
+use mpisim::{run, Protocol, RunLimits, SimConfig};
 use netmodel::{ClusterNetwork, Hockney, PointToPoint};
 use noise_model::InjectionPlan;
 use simdes::{SimDuration, SimTime};
@@ -534,7 +534,9 @@ fn run_stats_account_for_all_traffic() {
         Protocol::Eager,
         6,
     );
-    let (trace, stats) = mpisim::Engine::new(c.clone()).run_with_stats();
+    let (trace, stats) = mpisim::Engine::new(c.clone())
+        .try_run_with_stats(&RunLimits::none())
+        .expect("completes");
     assert_eq!(trace.ranks(), 8);
     assert_eq!(stats.messages, 8 * 6);
     assert_eq!(stats.eager_fallbacks, 0);
@@ -549,7 +551,9 @@ fn run_stats_account_for_all_traffic() {
     // and it takes the general event loop.
     let mut r = c.clone();
     r.protocol = Protocol::Rendezvous;
-    let (_, rs) = mpisim::Engine::new(r).run_with_stats();
+    let (_, rs) = mpisim::Engine::new(r)
+        .try_run_with_stats(&RunLimits::none())
+        .expect("completes");
     assert_eq!(rs.messages, 8 * 6);
     assert!(rs.events > stats.events, "handshakes add events");
     assert!(rs.peak_queue >= 8, "at least one pending event per rank");
@@ -557,6 +561,8 @@ fn run_stats_account_for_all_traffic() {
     // A zero-capacity buffer forces every send to fall back.
     let mut f = c;
     f.eager_buffer_bytes = Some(0);
-    let (_, fs) = mpisim::Engine::new(f).run_with_stats();
+    let (_, fs) = mpisim::Engine::new(f)
+        .try_run_with_stats(&RunLimits::none())
+        .expect("completes");
     assert_eq!(fs.eager_fallbacks, 8 * 6);
 }

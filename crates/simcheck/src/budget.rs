@@ -556,7 +556,7 @@ impl ToJson for BudgetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpisim::{try_run_with_stats_pooled, EnginePools, Protocol, RunLimits};
+    use mpisim::{try_run_checkpointed_pooled, CheckpointPolicy, EnginePools, Protocol, RunLimits};
     use netmodel::presets;
     use noise_model::InjectionPlan;
     use workload::{Boundary, CommGraph, CommPattern, CommSchedule, Direction};
@@ -657,7 +657,9 @@ mod tests {
         let r = budget(&cfg);
         let mut pools = EnginePools::with_budget(&r.pool);
         for _ in 0..3 {
-            try_run_with_stats_pooled(&cfg, &RunLimits::none(), &mut pools).expect("completes");
+            let policy = CheckpointPolicy::none();
+            try_run_checkpointed_pooled(&cfg, &RunLimits::none(), &policy, |_| {}, &mut pools)
+                .expect("completes");
             assert_eq!(
                 pools.grows(),
                 0,

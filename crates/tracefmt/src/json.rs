@@ -2,7 +2,7 @@
 //! [`ToJson`]/[`FromJson`] conversion traits the workspace uses instead of
 //! `serde`/`serde_json`.
 //!
-//! Scope: exactly what the simulator needs. Configs ([`mpisim::SimConfig`]
+//! Scope: exactly what the simulator needs. Configs (`mpisim::SimConfig`
 //! in the sibling crate), traces, figure data. The conventions deliberately
 //! mirror what the previous `serde` derives produced, so existing on-disk
 //! configs keep parsing:

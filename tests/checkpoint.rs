@@ -84,7 +84,9 @@ fn restore_matches_uninterrupted_run_for_any_cut_point() {
         let decoded = Snapshot::decode(snap.encode().as_bytes()).expect("own encoding decodes");
         let resumed = Engine::restore(cfg, &decoded)
             .expect("valid snapshot")
-            .run();
+            .try_run_with_stats(&RunLimits::none())
+            .expect("resumed run completes")
+            .0;
         assert_eq!(
             resumed.fingerprint(),
             full.fingerprint(),
@@ -120,7 +122,9 @@ fn calendar_queue_cuts_resume_bit_identically_at_scale() {
         let decoded = Snapshot::decode(snap.encode().as_bytes()).expect("own encoding decodes");
         let resumed = Engine::restore(cfg, &decoded)
             .expect("valid snapshot")
-            .run();
+            .try_run_with_stats(&RunLimits::none())
+            .expect("resumed run completes")
+            .0;
         assert_eq!(
             resumed.fingerprint(),
             full.fingerprint(),
@@ -168,7 +172,9 @@ fn restored_runs_are_identical_across_threads() {
                 let snap = Snapshot::decode(bytes.as_bytes()).expect("decode");
                 Engine::restore(cfg, &snap)
                     .expect("restore")
-                    .run()
+                    .try_run_with_stats(&RunLimits::none())
+                    .expect("resumed run completes")
+                    .0
                     .fingerprint()
             })
         })

@@ -5,7 +5,14 @@
 //! what accidental `HashMap` iteration, thread-scheduling dependence, or
 //! global RNG state would silently break.
 
-use idle_waves::idlewave::{batch, WaveExperiment, WaveTrace};
+mod common;
+
+use common::sweep_fingerprints;
+use idle_waves::idlewave::{WaveExperiment, WaveTrace};
+use idle_waves::mpisim::{
+    try_run_checkpointed_pooled, try_run_summary_pooled, CheckpointPolicy, Engine, EnginePools,
+    RunLimits, RunSummary, SimError,
+};
 use idle_waves::prelude::*;
 
 const MS: SimDuration = SimDuration::from_millis(1);
@@ -47,19 +54,17 @@ fn different_seeds_actually_differ() {
 
 #[test]
 fn batch_results_are_independent_of_thread_count() {
-    let seeds: Vec<u64> = (0..10).collect();
-    let base = noisy_config(0);
-    let reference = batch::run_seeds(&base, &seeds, 1);
-    for threads in [2, 3, 4, 8, 16] {
-        let parallel = batch::run_seeds(&base, &seeds, threads);
-        assert_eq!(parallel.len(), reference.len());
-        for (i, (p, r)) in parallel.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                p.trace, r.trace,
-                "seed {} diverged on {threads} threads",
-                seeds[i]
-            );
-        }
+    // Ten seeds through the sweep fabric: every record succeeds with the
+    // trace a direct run produces, however many threads ran the batch.
+    let configs: Vec<SimConfig> = (0..10).map(noisy_config).collect();
+    let direct: Vec<u64> = configs
+        .iter()
+        .map(|cfg| WaveTrace::from_config(cfg.clone()).trace.fingerprint())
+        .collect();
+    for threads in [1, 2, 4, 8] {
+        let swept = sweep_fingerprints("determinism-threads", &configs, threads);
+        let fps: Vec<u64> = swept.into_iter().map(|(_, fp)| fp).collect();
+        assert_eq!(fps, direct, "a seed diverged on {threads} threads");
     }
 }
 
@@ -74,12 +79,45 @@ fn batch_order_matches_input_order() {
             c
         })
         .collect();
-    let out = batch::run_batch(configs.clone(), 4);
+    let out = sweep_fingerprints("determinism-order", &configs, 4);
     assert_eq!(out.len(), configs.len());
-    for (i, wt) in out.iter().enumerate() {
-        assert_eq!(wt.cfg.steps, 10 + i as u32, "slot {i} holds the wrong run");
-        assert_eq!(wt.trace.steps(), 10 + i as u32);
+    for (i, ((id, fp), cfg)) in out.iter().zip(&configs).enumerate() {
+        assert_eq!(id, &format!("s{i}"), "slot {i} holds the wrong run");
+        let direct = WaveTrace::from_config(cfg.clone()).trace.fingerprint();
+        assert_eq!(*fp, direct, "slot {i} holds another config's trace");
     }
+}
+
+#[test]
+fn pooled_runs_recover_from_a_tripped_watchdog() {
+    // Both pooled entry points hand their buffers back on the error path
+    // too: a tripped event budget still counts as a pooled run, and the
+    // pool's next run is bit-identical to a fresh unpooled one.
+    let cfg = noisy_config(3);
+    let tripped = RunLimits::events(10);
+    let none = RunLimits::none();
+    let ckpt = CheckpointPolicy::none();
+    let (fresh, fresh_stats) = Engine::new(cfg.clone())
+        .try_run_with_stats(&none)
+        .expect("fresh run completes");
+    let mut pools = EnginePools::new();
+
+    let err = try_run_checkpointed_pooled(&cfg, &tripped, &ckpt, |_| {}, &mut pools)
+        .expect_err("10 events cannot finish the run");
+    assert!(matches!(err, SimError::Watchdog { .. }), "{err:?}");
+    assert_eq!(pools.runs(), 1, "a failed full run must recycle");
+    let (trace, _) = try_run_checkpointed_pooled(&cfg, &none, &ckpt, |_| {}, &mut pools)
+        .expect("pooled run completes");
+    assert_eq!(trace.fingerprint(), fresh.fingerprint());
+
+    let err = try_run_summary_pooled(&cfg, &tripped, &mut pools)
+        .expect_err("10 events cannot finish the run");
+    assert!(matches!(err, SimError::Watchdog { .. }), "{err:?}");
+    assert_eq!(pools.runs(), 3, "a failed summary run must recycle");
+    let (summary, stats) =
+        try_run_summary_pooled(&cfg, &none, &mut pools).expect("pooled summary completes");
+    assert_eq!(summary.digest, RunSummary::of_trace(&fresh).digest);
+    assert_eq!(stats.events, fresh_stats.events);
 }
 
 #[test]

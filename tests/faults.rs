@@ -4,7 +4,7 @@
 //! The fault subsystem samples drops, corruptions, and backoff delays
 //! from per-link RNG streams derived from the master seed, so a faulty
 //! run must be exactly as reproducible as a clean one: bit-identical
-//! across re-runs, process lifetimes, and batch thread counts. The
+//! across re-runs, process lifetimes, and sweep-fabric thread counts. The
 //! golden test pins one concrete drop-and-retransmit schedule so that
 //! any change to the fault RNG stream layout, backoff arithmetic, or
 //! retransmission event ordering fails loudly.
@@ -15,7 +15,10 @@
 //! GOLDEN_REGEN=1 cargo test --test faults -- --nocapture
 //! ```
 
-use idle_waves::idlewave::{batch, WaveExperiment, WaveTrace};
+mod common;
+
+use common::sweep_fingerprints;
+use idle_waves::idlewave::{WaveExperiment, WaveTrace};
 use idle_waves::mpisim::{FaultPlan, LinkDegradation, MessageFaults};
 use idle_waves::prelude::*;
 
@@ -72,16 +75,14 @@ fn fault_injected_batches_are_independent_of_thread_count() {
     let configs: Vec<SimConfig> = (0..6)
         .map(|i| chaotic_config(1000 + i, 0.25, 0.1, i % 2 == 0))
         .collect();
-    let reference = batch::run_batch(configs.clone(), 1);
-    for threads in [2, 4, 8] {
-        let parallel = batch::run_batch(configs.clone(), threads);
-        for (i, (p, r)) in parallel.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                p.trace.fingerprint(),
-                r.trace.fingerprint(),
-                "config {i} diverged on {threads} threads"
-            );
-        }
+    let direct: Vec<u64> = configs
+        .iter()
+        .map(|cfg| WaveTrace::from_config(cfg.clone()).trace.fingerprint())
+        .collect();
+    for threads in [1, 2, 4, 8] {
+        let swept = sweep_fingerprints("faults-threads", &configs, threads);
+        let fps: Vec<u64> = swept.into_iter().map(|(_, fp)| fp).collect();
+        assert_eq!(fps, direct, "a config diverged on {threads} threads");
     }
 }
 

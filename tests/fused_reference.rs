@@ -21,8 +21,8 @@
 //! iff fused).
 
 use idle_waves::mpisim::{
-    fused_path_eligible, reference, CheckpointPolicy, Engine, FaultPlan, RunLimits, RunStats,
-    RunSummary, Snapshot,
+    fused_path_eligible, reference, try_run_summary_pooled, CheckpointPolicy, Engine, EnginePools,
+    FaultPlan, RunLimits, RunStats, RunSummary, Snapshot,
 };
 use idle_waves::prelude::*;
 
@@ -134,12 +134,12 @@ fn plain_runs_match_the_general_event_loop_bitwise() {
 fn summary_folds_agree_across_paths_and_trace_modes() {
     for_all("summary digest is path-independent", 40, |g| {
         let cfg = random_config(g);
-        let (fused_sum, _) = Engine::new(cfg.clone())
-            .try_run_summary(&RunLimits::none())
+        let mut pools = EnginePools::new();
+        let (fused_sum, _) = try_run_summary_pooled(&cfg, &RunLimits::none(), &mut pools)
             .expect("plain summary run completes");
-        let (general_sum, _) = Engine::new(cfg.clone())
-            .try_run_summary(&RunLimits::events(100_000_000))
-            .expect("general summary run completes");
+        let (general_sum, _) =
+            try_run_summary_pooled(&cfg, &RunLimits::events(100_000_000), &mut pools)
+                .expect("general summary run completes");
         let (full, _) = general_run(&cfg);
 
         assert_eq!(fused_sum, general_sum, "summary diverged between paths");
@@ -171,7 +171,7 @@ fn checkpoint_cuts_replay_to_the_fused_result() {
                 }
             })
             .expect("checkpointed run completes");
-        let plain = Engine::new(cfg.clone()).run();
+        let plain = run(&cfg);
         assert_eq!(plain, checkpointed, "checkpoint cadence changed the run");
 
         let Some(snap) = first else {
@@ -180,7 +180,9 @@ fn checkpoint_cuts_replay_to_the_fused_result() {
         let decoded = Snapshot::decode(snap.encode().as_bytes()).expect("own encoding decodes");
         let resumed = Engine::restore(cfg, &decoded)
             .expect("valid snapshot")
-            .run();
+            .try_run_with_stats(&RunLimits::none())
+            .expect("resumed run completes")
+            .0;
         assert_eq!(
             resumed.fingerprint(),
             plain.fingerprint(),

@@ -1,8 +1,8 @@
 //! Integration tests of the tooling chain through the public facade:
-//! config serialisation, trace export, batch execution, and the
-//! extension analyses working together.
+//! config serialisation, trace export, seed loops, and the extension
+//! analyses working together.
 
-use idle_waves::idlewave::{batch, continuum, spectrum, WaveExperiment, WaveTrace};
+use idle_waves::idlewave::{continuum, spectrum, WaveExperiment, WaveTrace};
 use idle_waves::prelude::*;
 
 const MS: SimDuration = SimDuration::from_millis(1);
@@ -61,17 +61,20 @@ fn trace_exports_are_mutually_consistent() {
 #[test]
 fn batch_spectrum_continuum_compose() {
     // A small statistical pipeline using the extension modules together:
-    // run 6 seeds in parallel, extract each run's structure history, and
-    // check the continuum's silent-speed prediction against each.
+    // run 6 seeds, extract each run's structure history, and check the
+    // continuum's silent-speed prediction against each.
     let base = WaveExperiment::flat_chain(16)
         .boundary(Boundary::Periodic)
         .texec(MS.times(2))
         .steps(18)
         .inject(4, 0, MS.times(8))
         .into_config();
-    let seeds: Vec<u64> = (0..6).collect();
-    let runs = batch::run_seeds(&base, &seeds, 4);
-    assert_eq!(runs.len(), 6);
+    let mut runs = Vec::new();
+    for seed in 0..6 {
+        let mut cfg = base.clone();
+        cfg.seed = seed;
+        runs.push(WaveTrace::from_config(cfg));
+    }
 
     let model = continuum::ContinuumModel::silent(&base);
     for wt in &runs {
